@@ -13,6 +13,9 @@ speaks HTTP/1.0, one request per connection).  Request mix:
 - 80% of documents are new; the rest repeat an earlier document, so the
   result cache mostly stores.
 
+Request sizes and custom options are dealt in blocks of 20 requests
+that hold their shares exactly, so every phase sees the same mix.
+
 Latency is timed from each request's *due* time, so a stalled daemon
 delays every later request and the wait counts.  The schedule of every
 phase is a function of the seed (and, for the capacity search, of the
@@ -33,6 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
+from repro.www.server import http_get
+
 from corpus import PEDANTIC_OPTIONS, Document, seeded_document, valid_document, judge
 from harness import (
     ChildUsage,
@@ -47,6 +52,8 @@ from harness import (
 
 #: Request mix: (documents per request, share of requests).
 BATCH_MIX = ((1, 0.80), (8, 0.15), (32, 0.05))
+#: Requests are dealt in blocks of this many that hold the mix exactly.
+DECK = 20
 CUSTOM_OPTIONS_SHARE = 0.10
 #: The custom option sets; both are judged with the pedantic oracle.
 OPTION_VARIANTS = (PEDANTIC_OPTIONS, {"pedantic": True})
@@ -64,7 +71,7 @@ HI_RPS = 45.0
 
 #: How a run's measuring time is spent: shares at the low rate, at the
 #: high rate and on capacity probes of PROBE_S seconds each.
-LO_SHARE, HI_SHARE, PROBE_SHARE = 0.2, 0.35, 0.45
+LO_SHARE, HI_SHARE, PROBE_SHARE = 0.25, 0.30, 0.45
 PROBE_S = 1.5
 WARMUP_S = 0.5
 SEARCH_STEP = 1.06
@@ -94,6 +101,7 @@ class RequestStream:
         self.history: list[Document] = []
         self.rid = 0
         self.fresh = 0
+        self.deck: list[tuple[int, Optional[dict]]] = []
 
     def _document(self) -> Document:
         if self.history and self.rng.random() < REPEAT_SHARE:
@@ -108,16 +116,21 @@ class RequestStream:
         self.history.append(document)
         return document
 
+    def _refill(self) -> None:
+        """Deal the next block of DECK requests: the mix's exact shares
+        in seeded order, so every phase sees the same mix."""
+        sizes = [size for size, share in BATCH_MIX for _ in range(round(share * DECK))]
+        self.rng.shuffle(sizes)
+        custom = set(self.rng.sample(range(DECK), round(CUSTOM_OPTIONS_SHARE * DECK)))
+        self.deck.extend(
+            (size, self.rng.choice(OPTION_VARIANTS) if index in custom else None)
+            for index, size in enumerate(sizes)
+        )
+
     def next(self) -> Request:
-        pick, size = self.rng.random(), BATCH_MIX[-1][0]
-        for documents, share in BATCH_MIX:
-            if pick < share:
-                size = documents
-                break
-            pick -= share
-        options = None
-        if self.rng.random() < CUSTOM_OPTIONS_SHARE:
-            options = self.rng.choice(OPTION_VARIANTS)
+        if not self.deck:
+            self._refill()
+        size, options = self.deck.pop()
         self.rid += 1
         request = Request(
             self.rid, tuple(self._document() for _ in range(size)), options
@@ -308,23 +321,23 @@ class LoadGenerator:
         self.phases.append(phase)
         return phase
 
-    def rounds(self, seconds: float) -> tuple[list[float], list[float], float]:
+    def rounds(self, seconds: float) -> tuple[list[Phase], list[Phase], "Staircase"]:
         """The measured part of a run, as interleaved rounds.
 
         Each round sends a low-rate slice, a high-rate slice and one
         capacity probe, so all three sample the host's slow and fast
-        spells alike.  Returns the low- and high-rate latencies and
-        ``max_rps``.
+        spells alike.  Returns the low- and high-rate phases and the
+        capacity search.
         """
         count = max(2, round(seconds * PROBE_SHARE / PROBE_S))
         low, high = [], []
         search = Staircase(FROZEN_MAX_RPS)
         for index in range(count):
-            low += self.phase(f"lo{index}", LO_RPS, seconds * LO_SHARE / count).latencies()
-            high += self.phase(f"hi{index}", HI_RPS, seconds * HI_SHARE / count).latencies()
+            low.append(self.phase(f"lo{index}", LO_RPS, seconds * LO_SHARE / count))
+            high.append(self.phase(f"hi{index}", HI_RPS, seconds * HI_SHARE / count))
             rate = search.rate
             search.record(self.phase(f"probe{index}", rate, PROBE_S).meets_limit())
-        return low, high, search.estimate()
+        return low, high, search
 
     @property
     def samples(self) -> Iterator[Sample]:
@@ -346,33 +359,51 @@ class LoadGenerator:
 class Staircase:
     """An up-down search for the highest rate that meets the limit.
 
-    After a passing probe the rate steps up, after a failing one down,
-    so the probes settle around the rate that passes half the time on
-    this host.  The estimate is the geometric mean of the rates probed
-    from the first reversal on -- steadier than stopping at the first
-    failure, which a single slow spell of the host decides.  Without a
-    reversal it is the highest passing rate (a lower bound), or one
-    step below the lowest failing one.
+    Until the first reversal the step grows after every probe (6%, 12%,
+    26%, 59%, ...), so any capacity is bracketed in a few probes from
+    any start.  Each reversal then shrinks the step to its square root,
+    down to 6%, after which the probes step 6% up after a pass and down
+    after a failure and settle around the rate that passes half the
+    time on this host.  The estimate is the geometric mean of the rates
+    probed from the first probe at a fine step (12% or less) on --
+    steadier than stopping at the first failure, which a single slow
+    spell of the host decides.
     """
 
     def __init__(self, start: float) -> None:
         self.rate = start
+        #: The step is SEARCH_STEP ** power, power one of 1, 2, 4, 8, ...
+        self.power = 1
         self.trail: list[tuple[float, bool]] = []
+        self.reversals = 0
+        #: Index into ``trail`` of the first probe made at a fine step.
+        self.fine: Optional[int] = None
 
     def record(self, passed: bool) -> None:
         self.trail.append((self.rate, passed))
-        self.rate = self.rate * SEARCH_STEP if passed else self.rate / SEARCH_STEP
+        if len(self.trail) > 1 and self.trail[-2][1] != passed:
+            self.reversals += 1
+            self.power = max(1, self.power // 2)
+        elif self.reversals == 0 and len(self.trail) > 1:
+            self.power *= 2
+        if self.fine is None and self.reversals and self.power <= 2:
+            self.fine = len(self.trail) - 1
+        step = SEARCH_STEP**self.power
+        self.rate = self.rate * step if passed else self.rate / step
+
+    @property
+    def bracketed(self) -> bool:
+        return self.reversals > 0
 
     def estimate(self) -> float:
-        outcomes = [passed for _, passed in self.trail]
-        for index in range(1, len(outcomes)):
-            if outcomes[index] != outcomes[index - 1]:
-                rates = [rate for rate, _ in self.trail[index - 1:]]
-                return math.exp(sum(map(math.log, rates)) / len(rates))
-        passing = [rate for rate, passed in self.trail if passed]
-        if passing:
-            return max(passing)
-        return min(rate for rate, _ in self.trail) / SEARCH_STEP
+        """The capacity estimate; without a reversal only a bound: the
+        highest passing rate, or the next rate below every failure."""
+        if not self.bracketed:
+            passing = [rate for rate, passed in self.trail if passed]
+            return max(passing) if passing else self.rate
+        start = self.fine if self.fine is not None else len(self.trail) - 1
+        rates = [rate for rate, _ in self.trail[start:]]
+        return math.exp(sum(map(math.log, rates)) / len(rates))
 
 
 # -- the daemon process --------------------------------------------------------
@@ -402,6 +433,7 @@ class DaemonProcess:
             url = line.split(" listening on ", 1)[1].split()[0]
             host, port = url.removeprefix("http://").rsplit(":", 1)
             self.address = (host, int(port))
+            self.url = f"http://{host}:{port}"
             self._wait_healthy()
         except (IndexError, ValueError, OSError) as exc:
             self.stop()
@@ -412,9 +444,9 @@ class DaemonProcess:
         deadline = time.monotonic() + timeout_s
         while True:
             try:
-                if http_get(self.address, "/healthz")[0] == 200:
+                if http_get(f"{self.url}/healthz")[0] == 200:
                     return
-            except OSError:
+            except (OSError, ValueError):
                 if time.monotonic() > deadline:
                     raise
             time.sleep(0.01)
@@ -430,20 +462,6 @@ class DaemonProcess:
             self.process.communicate()
         self.log.close()
         return self.process.returncode
-
-
-def http_get(address: tuple[str, int], path: str) -> tuple[int, str]:
-    with socket.create_connection(address, timeout=10) as connection:
-        connection.sendall(f"GET {path} HTTP/1.0\r\nHost: x\r\n\r\n".encode())
-        chunks = []
-        while True:
-            chunk = connection.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    data = b"".join(chunks)
-    status_line, _, rest = data.partition(b"\r\n")
-    return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2].decode()
 
 
 # -- the workload --------------------------------------------------------------
@@ -509,7 +527,7 @@ def _timed(work: Path, seed: int, seconds: float, jobs: int) -> Outcome:
     try:
         generator = LoadGenerator(seed, daemon.address, jobs)
         generator.phase("warmup", LO_RPS, WARMUP_S)
-        low, high, max_rps = generator.rounds(seconds)
+        lo_phases, hi_phases, search = generator.rounds(seconds)
     finally:
         code = daemon.stop()
     cpu_s = ChildUsage.cpu_since(before) - median(setup_cpu)
@@ -519,7 +537,16 @@ def _timed(work: Path, seed: int, seconds: float, jobs: int) -> Outcome:
     cross_check(generator, outcome, seed)
 
     late = [s.lateness_ms for s in generator.samples]
+
+    low = [latency for phase in lo_phases for latency in phase.latencies()]
+    high = [latency for phase in hi_phases for latency in phase.latencies()]
     p50_lo, p95_lo, p95_hi = median(low), percentile(low, 95), percentile(high, 95)
+    max_rps = search.estimate()
+    if not search.bracketed:
+        outcome.fail(
+            f"daemon_mixed: capacity search never reversed ({max_rps:.1f} req/s "
+            "is a bound, not a measurement)"
+        )
     outcome.metric("setup_s", median(setup), "s")
     outcome.metric("op_p50_ms", p50_lo, "ms")
     outcome.metric("op_tail_ms", p95_hi, "ms")
@@ -534,9 +561,7 @@ def _timed(work: Path, seed: int, seconds: float, jobs: int) -> Outcome:
         f"max_rps={max_rps:.1f} 1/s (p95 <= {LATENCY_LIMIT_MS:g} ms); "
         f"send delay p50={median(late):.2f} ms max={max(late):.1f} ms"
     )
-    probes = [phase for phase in generator.phases if phase.label.startswith("probe")]
     outcome.note("  capacity probes: " + ", ".join(
-        f"{phase.rate:.1f}/s {'pass' if phase.meets_limit() else 'fail'}"
-        for phase in probes
+        f"{rate:.1f}/s {'pass' if passed else 'fail'}" for rate, passed in search.trail
     ))
     return outcome

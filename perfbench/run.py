@@ -62,6 +62,11 @@ def main(argv=None) -> int:
             outcome.metric(name, 0.0, "count")
     for line in outcome.lines:
         print(line)
+    attempted = max(1, outcome.attempted)
+    print(
+        f"{args.workload}: fail_frac={outcome.failed / attempted:.4f} "
+        f"({outcome.failed} of {attempted} operations failed)"
+    )
     for problem in outcome.problems:
         print(f"CHECK FAILED: {problem}")
     print(json.dumps(outcome.result_line(names)), flush=True)

@@ -405,7 +405,8 @@ def traced_site_recrawl(work: Path, site, recrawls: int, jobs: int) -> Outcome:
 
 def traced_daemon_mixed(work: Path, seed: int, jobs: int, generator_class, cross_check) -> Outcome:
     import repro.daemon.cli as daemon_cli
-    from daemon_mixed import HI_RPS, LO_RPS, WARMUP_S, http_get
+    from daemon_mixed import HI_RPS, LO_RPS, WARMUP_S
+    from repro.www.server import http_get
 
     outcome, recorder, totals = Outcome(), Recorder(), Totals()
     listening = threading.Event()
@@ -433,6 +434,8 @@ def traced_daemon_mixed(work: Path, seed: int, jobs: int, generator_class, cross
             generator = generator_class(seed, found["address"], jobs)
             generator.phase("warmup", LO_RPS, WARMUP_S)
             plain = generator.phase("lo-plain", LO_RPS, TRACED_PHASE_S)
+            url = "http://%s:%d/metrics" % found["address"]
+            scraped = http_get(url)[2]
             registry = registries[-1]
             totals.add(registry.snapshot(), sign=-1)
             install(recorder)
@@ -444,7 +447,7 @@ def traced_daemon_mixed(work: Path, seed: int, jobs: int, generator_class, cross
             totals.add(registry.snapshot())
             found.update(
                 generator=generator, plain=plain, traced=traced, hi=hi,
-                metrics=http_get(found["address"], "/metrics")[1],
+                metrics=(scraped, http_get(url)[2]),
             )
         except Exception as exc:  # reported as a failed check, never lost
             found["error"] = f"load generator failed: {exc!r}"
@@ -483,7 +486,14 @@ def traced_daemon_mixed(work: Path, seed: int, jobs: int, generator_class, cross
     metrics = layer_metrics(recorder, totals, submitted)
     server_ms = {span.rid: span.duration_ms for span in recorder.named("server.respond")}
     pooled = sum(span.size for span in recorder.named("pool.check_batch"))
-    p50, p95 = _histogram_quantiles(found["metrics"], "daemon_request_ms", (0.5, 0.95))
+    # Server time over the traced phases only: the /metrics histogram
+    # after them minus the one scraped just before them.
+    before, after = (
+        dict(_histogram_buckets(text, "daemon_request_ms")) for text in found["metrics"]
+    )
+    p50, p95 = _quantiles(
+        [(bound, count - before.get(bound, 0.0)) for bound, count in after.items()], (0.5, 0.95)
+    )
     metrics.update({
         "daemon.server_ms.p50": (p50, "ms"),
         "daemon.server_ms.p95": (p95, "ms"),
@@ -498,12 +508,17 @@ def traced_daemon_mixed(work: Path, seed: int, jobs: int, generator_class, cross
                   found["traced"].p(50), found["plain"].p(50))
 
 
-def _histogram_quantiles(text: str, name: str, quantiles) -> list[float]:
-    """Quantiles of an OpenMetrics histogram, interpolated in its buckets."""
+def _histogram_buckets(text: str, name: str) -> list[tuple[float, float]]:
+    """The cumulative ``(le, count)`` buckets of an OpenMetrics histogram."""
     buckets = []
     for match in re.finditer(rf'^{re.escape(name)}_bucket{{le="([^"]+)"}} (\S+)$', text, re.M):
         bound = float("inf") if match.group(1) == "+Inf" else float(match.group(1))
         buckets.append((bound, float(match.group(2))))
+    return buckets
+
+
+def _quantiles(buckets: list[tuple[float, float]], quantiles) -> list[float]:
+    """Quantiles of cumulative histogram buckets, interpolated in them."""
     if not buckets or buckets[-1][1] == 0:
         return [0.0 for _ in quantiles]
     total = buckets[-1][1]

@@ -88,6 +88,10 @@ def summarize_run(
         #: Completed pages a --resume had to fetch again (body evicted);
         #: the interrupted-crawl CI gate holds this at zero.
         "refetched_pages": count("robot.frontier.resume_refetched"),
+        #: Pages whose links were tokenized out of the body rather than
+        #: reused from the link store; a warm recrawl only extracts the
+        #: pages that changed.
+        "links_extracted": count("robot.links.extracted"),
     }
     # The streaming-report memory gauge (present only when a
     # MemorySampler ran); kilobytes keep the record readable and the

@@ -13,10 +13,11 @@ The resilience layer is fully scriptable: ``--retries``/``--backoff``/
 site so the whole stack can be exercised without a hostile network.
 
 ``--state-dir DIR`` makes the crawl *incremental*: HTTP validators,
-lint results and the frontier journal persist under DIR, so a second
-run revalidates unchanged pages with conditional fetches (``304 Not
-Modified``) and serves their lint results from the cache -- only
-changed pages pay for transfer and linting.  ``--resume`` replays the
+lint results, each body's extracted links and the frontier journal
+persist under DIR, so a second run revalidates unchanged pages with
+conditional fetches (``304 Not Modified``), serves their lint results
+from the cache and reuses their links -- only changed pages pay for
+transfer, tokenizing and linting.  ``--resume`` replays the
 journal of a killed crawl: completed pages are restored from the body
 store without refetching and only the unfinished frontier is crawled.
 See docs/caching.md and docs/user-guide.md.
@@ -66,6 +67,7 @@ from repro.obs import (
 )
 from repro.obs.events import NULL_EVENT_LOG
 from repro.robot.frontier import FrontierJournal
+from repro.robot.linkstore import LinkStore
 from repro.robot.poacher import Poacher
 from repro.robot.traversal import CrawlProgress, TraversalPolicy
 from repro.site.report import render_text_report
@@ -169,9 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir",
         metavar="DIR",
         default=None,
-        help="persist crawl state (HTTP validators, lint results, the "
-        "frontier journal) under DIR so a re-crawl revalidates "
-        "unchanged pages instead of re-fetching and re-linting them",
+        help="persist crawl state (HTTP validators, lint results, "
+        "extracted links, the frontier journal) under DIR so a re-crawl "
+        "revalidates unchanged pages instead of re-fetching, re-linting "
+        "and re-tokenizing them",
     )
     parser.add_argument(
         "--resume",
@@ -247,11 +250,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     http_cache = None
     result_cache = None
     journal = None
+    link_store = None
     if args.state_dir:
         state = Path(args.state_dir)
         http_cache = HttpCache(state / "http")
         http_cache.load()
         result_cache = ResultCache(state / "lint")
+        link_store = LinkStore(state / "links")
         # Each frontier checkpoint also persists the HTTP index, so a
         # kill between checkpoints costs at most checkpoint_every pages
         # of conditional refetches -- never completed-page bodies.
@@ -285,6 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         service=LintService(options=options, cache=result_cache),
         policy=policy,
         journal=journal,
+        link_store=link_store,
     )
     sink = TelemetrySink(args.telemetry_dir) if args.telemetry_dir else None
     event_log = sink.open_event_log() if sink is not None else NULL_EVENT_LOG
@@ -292,6 +298,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start_perf = time.perf_counter()
     with use_registry() as registry, use_timeseries(TimeSeries()), \
             use_event_log(event_log):
+        if link_store is not None:
+            link_store.load()  # here, so --stats counts a corrupt store
         progress = (
             CrawlProgress(poacher.robot, sys.stderr)
             if args.progress else None
@@ -395,6 +403,8 @@ def _print_stats(registry, crawl_stats, stream) -> None:
             "robot.pages.fetched",
             "robot.frontier.admitted",
             "robot.frontier.resumed_pages",
+            "robot.links.extracted",
+            "robot.links.reused",
             "robot.fetch.retries",
             "robot.fetch.http_errors",
             "robot.fetch.latency_ms",

@@ -31,6 +31,7 @@ concurrent crawls of the same site therefore stay byte-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
@@ -51,6 +52,13 @@ from repro.www.url import urljoin, urlparse
 JOURNAL_VERSION = 1
 
 
+#: Fingerprints kept by :func:`request_fingerprint`: every enqueued URL
+#: is fingerprinted again by each journal checkpoint (and by the shard
+#: partition), so a site-sized cache turns those into lookups.
+FINGERPRINT_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=FINGERPRINT_CACHE_SIZE)
 def request_fingerprint(url: str) -> str:
     """The dupefilter key for ``url``: sha256 of the canonical form.
 
@@ -123,8 +131,16 @@ class FrontierScheduler:
     :meth:`next_request` / :meth:`offer`; exactly one *consumer* thread
     (the one running the crawl) calls :meth:`mark_seen` / :meth:`push` /
     :meth:`next_result` / :meth:`mark_done`.  All state lives under one
-    condition variable, so the sequential crawl can run the same
-    scheduler inline with zero threads.
+    lock, so the sequential crawl can run the same scheduler inline
+    with zero threads.
+
+    Wake-ups are targeted, not broadcast.  Workers wait on one
+    condition and the consumer on another, both over that lock: a
+    pushed request or a freed host slot wakes one worker, a queued
+    result wakes the consumer, and only :meth:`close` or the end of the
+    crawl (budget spent, or nothing queued and nothing outstanding)
+    wakes every worker.  A worker waiting out a politeness delay sleeps
+    with a timeout instead of waiting to be woken.
     """
 
     def __init__(
@@ -138,13 +154,20 @@ class FrontierScheduler:
         self.per_host_delay_s = per_host_delay_s
         self.max_in_flight_per_host = max_in_flight_per_host
         self.clock = clock
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        #: Workers wait here for an eligible request ...
+        self._work = threading.Condition(self._lock)
+        #: ... and the consumer here for a result.
+        self._results_ready = threading.Condition(self._lock)
         #: Globally eligible requests, ordered by (depth, seq).
         self._heap: list[tuple[int, int, str]] = []
         #: host -> heap of (depth, seq, url, parked_at) waiting for a slot.
         self._parked: dict[str, list[tuple[int, int, str, float]]] = {}
         self._slots: dict[str, HostSlot] = {}
         self._seen: set[str] = set()
+        #: Exact URL strings already through :meth:`mark_seen`: a repeat
+        #: skips the normalise-and-hash of :func:`request_fingerprint`.
+        self._seen_urls: set[str] = set()
         self._next_seq = 0
         self._queued = 0
         self._in_flight = 0
@@ -159,8 +182,11 @@ class FrontierScheduler:
 
     def mark_seen(self, url: str) -> bool:
         """Dupefilter: ``True`` the first time this request is seen."""
+        if url in self._seen_urls:
+            return False
+        self._seen_urls.add(url)
         fingerprint = request_fingerprint(url)
-        with self._cond:
+        with self._lock:
             if fingerprint in self._seen:
                 return False
             self._seen.add(fingerprint)
@@ -168,25 +194,25 @@ class FrontierScheduler:
 
     def push(self, url: str, depth: int, seq: Optional[int] = None) -> int:
         """Queue a request (already past the dupefilter); returns its seq."""
-        with self._cond:
+        with self._lock:
             if seq is None:
                 seq = self._next_seq
             self._next_seq = max(self._next_seq, seq + 1)
             heapq.heappush(self._heap, (depth, seq, url))
             self._queued += 1
             get_registry().set_gauge("robot.frontier.queue_depth", self._queued)
-            self._cond.notify_all()
+            self._work.notify()
             return seq
 
     def restore(self, seen: set[str], next_seq: int) -> None:
         """Seed the dupefilter from a resumed journal (before replay)."""
-        with self._cond:
+        with self._lock:
             self._seen |= seen
             self._next_seq = max(self._next_seq, next_seq)
 
     def set_budget_used(self, admitted: int) -> None:
         """Count restored completions against the admission budget."""
-        with self._cond:
+        with self._lock:
             self._admitted = admitted
 
     # -- scheduling (worker threads) ---------------------------------------
@@ -198,7 +224,7 @@ class FrontierScheduler:
         spent, or nothing is queued and no admitted request is still
         outstanding (an outstanding one may yet discover new links).
         """
-        with self._cond:
+        with self._lock:
             while True:
                 if self._closed:
                     return None
@@ -209,11 +235,11 @@ class FrontierScheduler:
                     return request
                 if self._queued == 0 and self._outstanding == 0:
                     return None
-                self._cond.wait(self._politeness_wait())
+                self._work.wait(self._politeness_wait())
 
     def poll(self) -> Optional[FrontierRequest]:
         """Non-blocking :meth:`next_request` (tests and the inline driver)."""
-        with self._cond:
+        with self._lock:
             if self._closed or self._admitted >= self.max_pages:
                 return None
             return self._pop_eligible()
@@ -221,7 +247,7 @@ class FrontierScheduler:
     def offer(self, request: FrontierRequest, response: Optional[Response]) -> None:
         """A worker finished fetching ``request``; queue its result."""
         registry = get_registry()
-        with self._cond:
+        with self._lock:
             self._in_flight -= 1
             host = self._host_of(request.url)
             slot = self._slots.get(host)
@@ -230,18 +256,20 @@ class FrontierScheduler:
                 registry.set_gauge(
                     f"robot.frontier.slots_busy.{host}", slot.in_flight
                 )
+                if self._parked.get(host):
+                    self._work.notify()  # the freed slot has a taker
             registry.set_gauge(
                 "robot.frontier.slots_busy",
                 sum(s.in_flight for s in self._slots.values()),
             )
             self._results.append((request, response))
-            self._cond.notify_all()
+            self._results_ready.notify()
 
     # -- consuming (consumer thread) ---------------------------------------
 
     def next_result(self) -> Optional[tuple[FrontierRequest, Optional[Response]]]:
         """Block for the next completed fetch; ``None`` when none can come."""
-        with self._cond:
+        with self._lock:
             while True:
                 if self._results:
                     return self._results.popleft()
@@ -251,18 +279,20 @@ class FrontierScheduler:
                     or self._admitted >= self.max_pages
                 ):
                     return None
-                self._cond.wait()
+                self._results_ready.wait()
 
     def mark_done(self, request: FrontierRequest) -> None:
         """The consumer fully processed ``request`` (links enqueued)."""
-        with self._cond:
+        with self._lock:
             self._outstanding -= 1
-            self._cond.notify_all()
+            if self._queued == 0 and self._outstanding == 0:
+                self._work.notify_all()  # nothing left to discover
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            self._work.notify_all()
+            self._results_ready.notify_all()
 
     # -- introspection ------------------------------------------------------
 
@@ -280,7 +310,7 @@ class FrontierScheduler:
 
     def busiest_slot(self) -> Optional[tuple[str, int, int]]:
         """``(host, busy, capacity)`` for the busiest host, if any."""
-        with self._cond:
+        with self._lock:
             best: Optional[tuple[str, int, int]] = None
             for host, slot in sorted(self._slots.items()):
                 if best is None or slot.in_flight > best[1]:
@@ -289,7 +319,7 @@ class FrontierScheduler:
 
     def host_stats(self) -> dict[str, dict[str, float]]:
         """Per-host slot utilisation for ``--stats``."""
-        with self._cond:
+        with self._lock:
             return {
                 host: {
                     "fetches": slot.fetches,
@@ -299,7 +329,7 @@ class FrontierScheduler:
                 for host, slot in sorted(self._slots.items())
             }
 
-    # -- internals (always called with the condition held) ------------------
+    # -- internals (always called with the lock held) ------------------------
 
     @staticmethod
     def _host_of(url: str) -> str:
@@ -364,6 +394,8 @@ class FrontierScheduler:
                 slot.wait_ms += waited_ms
                 registry.observe("robot.frontier.host_wait_ms", waited_ms)
         registry.inc("robot.frontier.admitted")
+        if self._admitted >= self.max_pages:
+            self._work.notify_all()  # budget spent: every worker stops
         registry.set_gauge("robot.frontier.queue_depth", self._queued)
         registry.set_gauge(f"robot.frontier.slots_busy.{host}", slot.in_flight)
         registry.set_gauge(

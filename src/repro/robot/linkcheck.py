@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.www.client import FetchError, UserAgent
-from repro.www.url import urljoin
+from repro.www.url import resolve_link
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class LinkChecker:
 
     def check(self, base_url: str, link_url: str) -> LinkStatus:
         """Validate ``link_url`` as it appears on ``base_url``."""
-        absolute = str(urljoin(base_url, link_url).without_fragment())
+        absolute = resolve_link(base_url, link_url)
         if absolute in self._cache:
             return self._cache[absolute]
         status = self._fetch_status(absolute)
@@ -127,7 +127,7 @@ class FragmentChecker:
         if not fragment:
             return None
         base = target if target else base_url
-        absolute = str(urljoin(base_url, base).without_fragment())
+        absolute = resolve_link(base_url, base)
         names = self._anchor_names(absolute)
         if names is None:
             return None

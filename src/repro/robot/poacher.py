@@ -22,6 +22,7 @@ from repro.core.linter import Weblint
 from repro.core.service import LintResult, LintService, StringSource
 from repro.robot.frontier import FrontierJournal, shard_owns
 from repro.robot.linkcheck import FragmentChecker, LinkChecker, LinkStatus
+from repro.robot.linkstore import LinkStore
 from repro.robot.traversal import CrawlProgress, Robot, TraversalPolicy
 from repro.site.links import Link
 from repro.site.rollup import PAGES_FILENAME, ROLLUP_FILENAME, PageSpill, SiteRollup
@@ -127,6 +128,7 @@ class Poacher:
         policy: Optional[TraversalPolicy] = None,
         service: Optional[LintService] = None,
         journal: Optional[FrontierJournal] = None,
+        link_store: Optional[LinkStore] = None,
     ) -> None:
         self.agent = agent
         if service is None:
@@ -138,7 +140,9 @@ class Poacher:
         self.weblint = weblint
         self.options = service.options
         self.policy = policy if policy is not None else TraversalPolicy()
-        self.robot = Robot(agent, self.policy, journal=journal)
+        self.robot = Robot(
+            agent, self.policy, journal=journal, link_store=link_store
+        )
         self.link_checker = LinkChecker(agent)
         self.fragment_checker = FragmentChecker(agent)
 

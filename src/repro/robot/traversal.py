@@ -26,6 +26,12 @@ level-synchronous frontier as a benchmark comparator.
 fetches at the cap and never discards one it has issued, so the number
 of fetched pages is exact at any concurrency.
 
+With a :class:`~repro.robot.linkstore.LinkStore` a recrawl tokenizes
+only the pages whose bodies changed: every HTML page's links are looked
+up by the body's sha256 and extracted only on a miss
+(``robot.links.reused`` / ``robot.links.extracted``), and the store is
+saved, pruned to the digests this crawl used, when the crawl ends.
+
 With a :class:`~repro.robot.frontier.FrontierJournal` the frontier is
 resumable: every enqueue and completion is journaled to disk, and
 ``crawl(..., resume=True)`` replays a killed crawl's journal -- pages
@@ -64,7 +70,8 @@ from repro.robot.frontier import (
     request_fingerprint,
     shard_owns,
 )
-from repro.site.links import extract_links
+from repro.robot.linkstore import LinkStore
+from repro.site.links import Link, extract_links
 from repro.www.client import (
     RETRYABLE_STATUSES,
     FetchError,
@@ -73,7 +80,7 @@ from repro.www.client import (
 from repro.www.httpcache import body_digest
 from repro.www.message import Headers, Response
 from repro.www.robotstxt import RobotsTxt
-from repro.www.url import URL, urljoin, urlparse
+from repro.www.url import URL, resolve_link, urljoin, urlparse
 
 PageCallback = Callable[[str, Response, list], None]
 
@@ -326,10 +333,12 @@ class Robot:
         agent: UserAgent,
         policy: Optional[TraversalPolicy] = None,
         journal: Optional[FrontierJournal] = None,
+        link_store: Optional[LinkStore] = None,
     ) -> None:
         self.agent = agent
         self.policy = policy if policy is not None else TraversalPolicy()
         self.journal = journal
+        self.link_store = link_store
         self.stats = CrawlStats()
         self._robots_cache: dict[str, RobotsTxt] = {}
         self._stats_lock = threading.Lock()
@@ -433,6 +442,7 @@ class Robot:
 
         if progress is not None:
             progress.start()
+        finished = False
         try:
             with get_tracer().span(
                 "robot.crawl", start=start_url, workers=self.policy.concurrency
@@ -463,12 +473,17 @@ class Robot:
                     http_errors=self.stats.pages_http_error,
                     transport_failures=self.stats.pages_failed,
                 )
+            finished = True
         finally:
             scheduler.close()
             self.stats.host_slots = scheduler.host_stats()
             if self.journal is not None:
                 self.journal.checkpoint()
                 self.journal.close()
+            if self.link_store is not None:
+                # A crawl that raised keeps the digests it never
+                # reached: a --resume still wants them.
+                self.link_store.save(prune=finished)
             if progress is not None:
                 progress.stop()
             self._scheduler = None
@@ -486,6 +501,7 @@ class Robot:
         self._wave_queue = frontier.queue
         if progress is not None:
             progress.start()
+        finished = False
         try:
             with get_tracer().span(
                 "robot.crawl", start=start_url, workers=self.policy.concurrency
@@ -499,7 +515,10 @@ class Robot:
                     http_errors=self.stats.pages_http_error,
                     transport_failures=self.stats.pages_failed,
                 )
+            finished = True
         finally:
+            if self.link_store is not None:
+                self.link_store.save(prune=finished)
             if progress is not None:
                 progress.stop()
             self._wave_queue = None
@@ -780,12 +799,17 @@ class Robot:
             if series is not None:
                 series.observe("robot.pages.fetched")
         visited.append(response.url)
+        digest = None
+        if self.journal is not None or self.link_store is not None:
+            digest = body_digest(response.body)
         if not response.is_html:
             if live and self.journal is not None:
-                self.journal.completed(self._ok_record(url, depth, response))
+                self.journal.completed(
+                    self._ok_record(url, depth, response, digest)
+                )
             return
 
-        links = extract_links(response.body)
+        links = self._links_of(response.body, digest)
         if on_page is not None:
             # Sharded audits: only the owning shard processes the page;
             # link extraction still runs so every shard discovers the
@@ -802,21 +826,39 @@ class Robot:
                 continue
             if link.kind == "resource" and not self.policy.follow_resources:
                 continue
-            absolute = str(
-                urljoin(response.url, link.url).without_fragment()
-            )
+            absolute = resolve_link(response.url, link.url)
             self._offer(absolute, depth + 1, frontier, start)
         if live and self.journal is not None:
-            self.journal.completed(self._ok_record(url, depth, response))
+            self.journal.completed(
+                self._ok_record(url, depth, response, digest)
+            )
+
+    def _links_of(self, body: str, digest: Optional[str]) -> list[Link]:
+        """``extract_links(body)``, served from the link store when it can be.
+
+        ``digest`` is the body's sha256, set whenever there is a store.
+        """
+        registry = get_registry()
+        store = self.link_store
+        if store is not None:
+            links = store.get(digest)
+            if links is not None:
+                registry.inc("robot.links.reused")
+                return links
+        links = extract_links(body)
+        registry.inc("robot.links.extracted")
+        if store is not None:
+            store.put(digest, links)
+        return links
 
     @staticmethod
-    def _ok_record(url: str, depth: int, response: Response) -> dict:
+    def _ok_record(url: str, depth: int, response: Response, digest: str) -> dict:
         return {
             "t": "ok",
             "url": url,
             "final": response.url,
             "d": depth,
-            "sha": body_digest(response.body),
+            "sha": digest,
             "ct": response.headers.get("Content-Type", "text/html"),
             "n": len(response.body),
             "html": response.is_html,

@@ -18,6 +18,8 @@ mostly-unchanged site skip almost all of its byte transfer.
 - ``save()`` / ``load()`` persist the index atomically as versioned
   JSON; a missing, corrupt or wrong-version index loads as an empty
   cache, never an error -- a crawl always proceeds, at worst cold.
+  A save with nothing changed since the last save (or a clean load)
+  writes nothing.
 
 The consumer is :class:`repro.www.client.UserAgent` (pass
 ``http_cache=``): it sends the stored validators with every GET, turns a
@@ -92,8 +94,10 @@ class HttpCache:
     """Per-URL validators plus a content-addressed body store.
 
     Memory-only by default; give it a ``directory`` and bodies persist
-    as they are stored while ``save()`` writes the index -- call it once
-    at the end of a crawl (``poacher --state-dir`` does).
+    as they are stored while ``save()`` writes the index -- call it at
+    the end of a crawl (``poacher --state-dir`` does, and so does every
+    frontier checkpoint).  Index changes are counted, so a save that
+    follows another with nothing stored in between is skipped.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
@@ -101,6 +105,11 @@ class HttpCache:
         self._entries: dict[str, CachedEntry] = {}
         self._bodies: dict[str, str] = {}
         self._lock = threading.Lock()
+        #: Index changes so far, and how many of them are on disk; the
+        #: index is dirty while they differ.  Starts dirty, so the first
+        #: save always writes.
+        self._changes = 1
+        self._saved_changes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -173,7 +182,9 @@ class HttpCache:
             last_modified=response.headers.get("Last-Modified"),
         )
         with self._lock:
-            self._entries[url] = entry
+            if self._entries.get(url) != entry:
+                self._entries[url] = entry
+                self._changes += 1
             self._bodies[digest] = response.body
         if self.directory is not None:
             self._write_body(digest, response.body)
@@ -199,14 +210,21 @@ class HttpCache:
         with self._lock:
             self._entries.clear()
             self._bodies.clear()
+            self._changes += 1
 
     # -- persistence -------------------------------------------------------
 
     def save(self) -> None:
-        """Atomically write the index (bodies were persisted on store)."""
+        """Atomically write the index (bodies were persisted on store).
+
+        A no-op when the index has not changed since the last save.
+        """
         if self.directory is None:
             return
         with self._lock:
+            if self._changes == self._saved_changes:
+                return
+            changes = self._changes
             payload = json.dumps(
                 {
                     "version": FORMAT_VERSION,
@@ -231,6 +249,8 @@ class HttpCache:
             with handle:
                 handle.write(payload)
             os.replace(handle.name, self._index_path())
+        with self._lock:
+            self._saved_changes = max(self._saved_changes, changes)
 
     def load(self) -> int:
         """Read the index; corrupt or wrong-version state loads as empty.
@@ -258,7 +278,11 @@ class HttpCache:
                 except (KeyError, TypeError, ValueError):
                     get_registry().inc("www.httpcache.corrupt")
             with self._lock:
+                clean = not self._entries and len(loaded) == len(data["entries"])
                 self._entries.update(loaded)
+                if clean:
+                    # Memory now mirrors the file exactly: nothing to save.
+                    self._saved_changes = self._changes
             return len(loaded)
 
     # -- paths -------------------------------------------------------------

@@ -12,6 +12,7 @@ specified by this repository (and property-tested in
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -224,3 +225,22 @@ def urljoin(base: str | URL, reference: str | URL) -> URL:
         query=query,
         fragment=ref.fragment,
     ).normalised()
+
+
+#: Entries kept by :func:`resolve_link`.  A crawl resolves each page's
+#: links back to back (link checks, then frontier offers), so the cache
+#: only has to span a page or two to serve every repeat; the bound keeps
+#: a long-lived process's memory flat.
+RESOLVE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=RESOLVE_CACHE_SIZE)
+def resolve_link(base: str, reference: str) -> str:
+    """``reference`` resolved against ``base``, fragment stripped.
+
+    The one resolution a crawl needs per link: the robot's frontier,
+    :class:`~repro.robot.linkcheck.LinkChecker` and
+    :class:`~repro.robot.linkcheck.FragmentChecker` all key on this
+    string, and share this bounded cache of it.
+    """
+    return str(urljoin(base, reference).without_fragment())

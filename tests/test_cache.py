@@ -267,6 +267,36 @@ class TestConditionalFetch:
         reloaded = HttpCache(tmp_path / "http")
         assert reloaded.load() == 0
 
+    def test_unchanged_index_is_not_rewritten(self, tmp_path):
+        web, cache, agent = self.fixture(tmp_path)
+        agent.get(self.URL)
+        cache.save()
+        index = tmp_path / "http" / "index.json"
+        index.write_text("sentinel")
+        agent.get(self.URL)  # a 304 changes no validator
+        cache.save()
+        assert index.read_text() == "sentinel"
+        web.add_page(self.URL, make_document("<p>version two</p>"))
+        agent.get(self.URL)
+        cache.save()
+        assert HttpCache(tmp_path / "http").load() == 1
+
+    def test_clean_load_needs_no_save(self, tmp_path):
+        web, cache, agent = self.fixture(tmp_path)
+        agent.get(self.URL)
+        cache.save()
+        reloaded = HttpCache(tmp_path / "http")
+        reloaded.load()
+        index = tmp_path / "http" / "index.json"
+        index.write_text("sentinel")
+        reloaded.save()
+        assert index.read_text() == "sentinel"
+        # A cache that never loaded an index still writes one.
+        empty = HttpCache(tmp_path / "elsewhere")
+        empty.save()
+        assert empty.load() == 0
+        assert (tmp_path / "elsewhere" / "index.json").exists()
+
     def test_last_modified_revalidates_without_etag(self, tmp_path):
         web = VirtualWeb()
         url = "http://lm.test/"
@@ -313,6 +343,18 @@ class TestIncrementalCrawl:
         assert warm_out == cold_out
         assert "www.conditional.revalidated: 2" in warm_err
         assert "cache.lint.hits: 2" in warm_err
+
+    def test_unchanged_recrawl_leaves_index_alone(
+        self, site_dir, tmp_path, capsys
+    ):
+        state = tmp_path / "state"
+        self.crawl(site_dir, state, capsys)
+        index = state / "http" / "index.json"
+        before = index.stat().st_ino
+        self.crawl(site_dir, state, capsys)
+        # Saves replace the file atomically, so a rewrite shows up as
+        # a new inode.
+        assert index.stat().st_ino == before
 
     def test_changed_page_is_relinted(self, site_dir, tmp_path, capsys):
         state = tmp_path / "state"

@@ -1,17 +1,24 @@
 """Tests for the streaming crawl frontier.
 
 Covers the scheduler (priority order, dupefilter, per-host downloader
-slots, admission budget), the disk-backed journal (round-trip, atomic
-checkpoints, corruption tolerance), kill/resume end to end (a resumed
-crawl's report is byte-identical to an uninterrupted one and refetches
-no completed page), and the streamed site checker.
+slots, admission budget), its targeted wake-ups under stress (every
+worker count and politeness setting finishes and reports the same
+bytes), the disk-backed journal (round-trip, atomic checkpoints,
+corruption tolerance), kill/resume end to end (a resumed crawl's report
+is byte-identical to an uninterrupted one and refetches no completed
+page), and the streamed site checker.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.config.options import Options
+from repro.core.cache import ResultCache
+from repro.core.service import LintService
 from repro.obs import use_registry
 from repro.robot.frontier import (
     FrontierJournal,
@@ -23,6 +30,7 @@ from repro.robot.traversal import Robot, TraversalPolicy
 from repro.www.client import UserAgent
 from repro.www.httpcache import HttpCache, body_digest
 from repro.www.virtualweb import VirtualWeb
+from repro.workload import PageGenerator
 from tests.conftest import make_document
 
 
@@ -92,6 +100,64 @@ class TestFrontierScheduler:
             assert scheduler.mark_seen("http://h/p.html")
             assert not scheduler.mark_seen("http://h/p.html")
             assert not scheduler.mark_seen("http://h/p.html#frag")
+            assert not scheduler.mark_seen("HTTP://H:80/p.html")
+
+    def test_repeated_url_skips_the_fingerprint(self, monkeypatch):
+        import repro.robot.frontier as frontier
+
+        fingerprinted = []
+
+        def counting(url):
+            fingerprinted.append(url)
+            return url
+
+        monkeypatch.setattr(frontier, "request_fingerprint", counting)
+        scheduler = FrontierScheduler()
+        assert scheduler.mark_seen("http://h/p.html")
+        for _ in range(3):
+            assert not scheduler.mark_seen("http://h/p.html")
+        assert fingerprinted == ["http://h/p.html"]
+
+    def test_push_wakes_a_waiting_worker(self):
+        with use_registry():
+            scheduler = FrontierScheduler()
+            scheduler.push("http://h/a.html", 0)
+            first = scheduler.poll()  # outstanding, so workers wait
+            got = []
+            worker = threading.Thread(
+                target=lambda: got.append(scheduler.next_request()),
+                daemon=True,
+            )
+            worker.start()
+            scheduler.push("http://h/b.html", 1)
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert got[0].url == "http://h/b.html"
+            scheduler.offer(first, None)
+            scheduler.offer(got[0], None)
+
+    def test_end_of_crawl_releases_every_worker(self):
+        with use_registry():
+            scheduler = FrontierScheduler()
+            scheduler.push("http://h/a.html", 0)
+            request = scheduler.poll()
+            ended = []
+            workers = [
+                threading.Thread(
+                    target=lambda: ended.append(scheduler.next_request()),
+                    daemon=True,
+                )
+                for _ in range(4)
+            ]
+            for worker in workers:
+                worker.start()
+            scheduler.offer(request, None)
+            assert scheduler.next_result() is not None
+            scheduler.mark_done(request)  # nothing queued, nothing left
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            assert ended == [None] * 4
 
     def test_admission_budget_is_exact(self):
         with use_registry():
@@ -363,6 +429,79 @@ class TestStreamingCrawl:
         with use_registry():
             streaming = crawl_report_text(fresh, TraversalPolicy(concurrency=4))
         assert text == streaming
+
+
+#: The wake-up stress grid: a lost or misdirected wake-up either hangs a
+#: crawl (caught by the join timeout) or drops a page from its report.
+STRESS_PAGES = 60
+STRESS_TIMEOUT_S = 60.0
+
+
+@pytest.fixture(scope="module")
+def stress_site():
+    return PageGenerator(seed=11).site(STRESS_PAGES)
+
+
+@pytest.fixture(scope="module")
+def stress_service():
+    """One lint service for the whole grid: pages lint once, then hit."""
+    options = Options.with_defaults()
+    options.follow_links = True
+    return LintService(options=options, cache=ResultCache())
+
+
+def stress_report(site, service, policy) -> str:
+    """Crawl ``site`` on a thread that must finish within the timeout."""
+    web = VirtualWeb()
+    web.add_site("http://h/", site)
+    # A real (tiny) fetch latency lets the workers' waits interleave.
+    web.set_latency(seconds=0.0005)
+    result: list[str] = []
+
+    def crawl() -> None:
+        with use_registry():
+            poacher = Poacher(UserAgent(web), service=service, policy=policy)
+            report = poacher.crawl("http://h/index.html")
+        result.append("\n".join(report.summary_lines()))
+
+    # Switch threads far more often than the default 5 ms, so the
+    # workers' lock and condition hand-offs interleave in more orders.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        thread = threading.Thread(target=crawl, daemon=True)
+        thread.start()
+        thread.join(STRESS_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive(), f"crawl hung (lost wake-up?) with {policy}"
+    assert result, f"crawl raised with {policy}"
+    return result[0]
+
+
+@pytest.fixture(scope="module")
+def stress_baseline(stress_site, stress_service):
+    return stress_report(stress_site, stress_service, TraversalPolicy())
+
+
+class TestWakeUpStress:
+    @pytest.mark.parametrize("max_in_flight", [1, 4])
+    @pytest.mark.parametrize("delay_s", [0.0, 0.005])
+    @pytest.mark.parametrize("concurrency", [2, 4, 8])
+    def test_report_matches_sequential(
+        self, stress_site, stress_service, stress_baseline,
+        concurrency, delay_s, max_in_flight,
+    ):
+        policy = TraversalPolicy(
+            concurrency=concurrency,
+            per_host_delay_s=delay_s,
+            max_in_flight_per_host=max_in_flight,
+        )
+        text = stress_report(stress_site, stress_service, policy)
+        assert text == stress_baseline
+        assert text.startswith(
+            f"poacher: crawled {STRESS_PAGES} page(s)"
+        )
 
 
 class TestKillAndResume:

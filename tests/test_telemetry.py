@@ -310,6 +310,7 @@ class TestRunLedger:
         assert record["docs_per_s"] == 2.0
         assert record["error_rate"] == 0.0
         assert record["lint_p95_ms"] > 0
+        assert record["links_extracted"] == 0
 
     def test_append_stamps_run_sequence(self, tmp_path):
         ledger = RunLedger(tmp_path)
@@ -374,6 +375,18 @@ class TestCompareRuns:
             {"documents": 10}, {"documents": 9}, portable_only=True
         )
         assert regressions == ["documents"]
+
+    def test_portable_links_extracted_may_only_fall(self):
+        _lines, regressions = compare(
+            {"links_extracted": 24}, {"links_extracted": 0},
+            portable_only=True,
+        )
+        assert regressions == []
+        _lines, regressions = compare(
+            {"links_extracted": 2}, {"links_extracted": 24},
+            portable_only=True,
+        )
+        assert regressions == ["links_extracted"]
 
     def test_cli_on_ledger(self, tmp_path, capsys):
         ledger = RunLedger(tmp_path)

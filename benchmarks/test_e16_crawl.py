@@ -10,11 +10,13 @@ errors classified separately from transport failures, concurrent report
 identical to the sequential one) and records the wall-clock numbers in
 ``BENCH_crawl.json``.
 
-A second scenario pits the streaming frontier against the legacy
-wave-synchronous one (``frontier="wave"``) at the same worker count: a
-chain of fast pages each linking one slow-host page.  The wave frontier
-barriers every BFS level on its slow page; the streaming frontier
-overlaps all the slow fetches as they are discovered.
+A second scenario crawls a chain of fast pages, each linking one
+slow-host page.  A level-synchronous (wave) frontier, the crawler's
+design before the streaming scheduler, barriered every BFS level on its
+slow page, so it could never finish in less than
+``CHAIN_LEVELS * SLOW_LATENCY_S``; the streaming frontier overlaps the
+slow fetches as they are discovered and must beat that floor by 1.5x.
+Its report is compared against a sequential (``concurrency=1``) crawl.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def build_chain_site() -> VirtualWeb:
 
     No faults here: this scenario isolates pure frontier scheduling.
     The crawl only discovers ``level{i+1}`` after fetching ``level{i}``,
-    so a wave frontier spends one full barrier -- dominated by the
+    so a wave frontier would spend one full barrier -- dominated by the
     130 ms slow page -- per level, while a streaming frontier starts
     every slow fetch the moment its level page lands.
     """
@@ -196,14 +198,13 @@ def build_chain_site() -> VirtualWeb:
     return web
 
 
-def crawl_frontier(frontier: str):
+def crawl_chain(concurrency: int):
     agent = UserAgent(build_chain_site(), timeout_s=5.0)
     policy = TraversalPolicy(
         same_host_only=False,
         obey_robots_txt=False,
-        concurrency=8,
+        concurrency=concurrency,
         max_in_flight_per_host=8,
-        frontier=frontier,
     )
     options = Options.with_defaults()
     options.follow_links = False
@@ -215,15 +216,17 @@ def crawl_frontier(frontier: str):
     return report, elapsed
 
 
-def test_e16_streaming_beats_wave_on_slow_host():
-    wave_report, wave_s = crawl_frontier("wave")
-    stream_report, stream_s = crawl_frontier("streaming")
+def test_e16_streaming_overlaps_slow_host():
+    seq_report, seq_s = crawl_chain(concurrency=1)
+    stream_report, stream_s = crawl_chain(concurrency=8)
 
     assert len(stream_report.pages) == CHAIN_LEVELS * 2
-    # Golden: both frontiers produce the same canonical report.
-    assert fingerprint(stream_report) == fingerprint(wave_report)
+    # Golden: the concurrent crawl reports exactly what a sequential one does.
+    assert fingerprint(stream_report) == fingerprint(seq_report)
 
-    speedup = wave_s / stream_s if stream_s else float("inf")
+    # What a level-synchronous frontier pays at the least: one slow
+    # page per level.  The last measured wave crawl took 0.7945 s.
+    barrier_floor_s = CHAIN_LEVELS * SLOW_LATENCY_S
     record_crawl_result(
         "e16_slow_host",
         pages=len(stream_report.pages),
@@ -231,23 +234,23 @@ def test_e16_streaming_beats_wave_on_slow_host():
         fast_latency_ms=FAST_LATENCY_S * 1000,
         slow_latency_ms=SLOW_LATENCY_S * 1000,
         frontier_jobs=8,
-        wave_wall_s=round(wave_s, 4),
+        sequential_wall_s=round(seq_s, 4),
         streaming_wall_s=round(stream_s, 4),
-        speedup=round(speedup, 3),
+        barrier_floor_s=round(barrier_floor_s, 4),
     )
     print_table(
-        "E16: slow-host chain, wave vs streaming frontier (8 workers)",
+        "E16: slow-host chain, sequential vs streaming frontier (8 workers)",
         [
             ("pages", len(stream_report.pages)),
             ("chain depth", CHAIN_LEVELS),
             ("slow-page latency", f"{SLOW_LATENCY_S * 1000:.0f} ms"),
-            ("wave wall", f"{wave_s:.3f} s"),
+            ("sequential wall", f"{seq_s:.3f} s"),
             ("streaming wall", f"{stream_s:.3f} s"),
-            ("speedup", f"{speedup:.2f}x"),
+            ("wave barrier floor", f"{barrier_floor_s:.3f} s"),
         ],
         headers=("measure", "result"),
     )
 
-    # The wave frontier pays ~one slow-page barrier per level; the
+    # A wave frontier pays ~one slow-page barrier per level; the
     # streaming frontier pays roughly one in total.
-    assert speedup > 1.5
+    assert stream_s < barrier_floor_s / 1.5

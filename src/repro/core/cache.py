@@ -16,8 +16,8 @@ where the *service fingerprint* digests everything that can change what
 the engine would emit: the options fingerprint (every semantic field --
 see :meth:`repro.config.options.Options.fingerprint`), the HTML spec
 name, the rule set (registry names + enabled flags, in order), the
-cascade-heuristics and naive-dispatch switches, the weblint version and
-the on-disk format version.  Change any of them and every key changes,
+cascade-heuristics switch, the weblint version and the on-disk format
+version.  Change any of them and every key changes,
 so invalidation is automatic -- there is no "stale entry" state to
 manage, only misses.
 
@@ -87,7 +87,6 @@ def service_fingerprint(
     spec_name: str,
     rule_state: Sequence[tuple[str, bool]],
     cascade_heuristics: bool,
-    naive_dispatch: bool,
 ) -> bytes:
     """Digest every configuration axis that can change lint output."""
     payload = repr(
@@ -98,7 +97,6 @@ def service_fingerprint(
             _stable(options_fingerprint),
             tuple(rule_state),
             cascade_heuristics,
-            naive_dispatch,
         )
     ).encode("utf-8")
     return hashlib.sha256(payload).digest()

@@ -153,8 +153,9 @@ def compile_table(
 
     With ``naive=True`` every rule is attached to every hook with a
     wildcard -- the seed engine's call-everything behaviour.  The naive
-    table exists for the golden equivalence test and the before/after
-    benchmark, not for production use.
+    table is the reference that the golden equivalence tests and the
+    E14 benchmark install on an engine to compare against; production
+    checks always go through :func:`get_table`.
     """
     per_hook: dict[str, list[tuple[str, Callable, Optional[frozenset[str]]]]] = {
         hook: [] for hook in HOOK_NAMES
@@ -209,8 +210,8 @@ def compile_table(
 
 # -- the table cache --------------------------------------------------------
 
-#: Compiled tables keyed by (spec id, options fingerprint, rule ids,
-#: naive).  Values hold strong references to the rule instances (through
+#: Compiled tables keyed by (spec id, options fingerprint, rule ids).
+#: Values hold strong references to the rule instances (through
 #: their bound methods), which pins the ids in the key while the entry
 #: lives.  Bounded FIFO keeps pathological churn (a new Weblint per
 #: document) from growing without limit.
@@ -222,22 +223,15 @@ def get_table(
     spec: HTMLSpec,
     options: Options,
     rules: Sequence[Rule],
-    *,
-    naive: bool = False,
 ) -> DispatchTable:
     """Cached :func:`compile_table`; the per-document entry point."""
-    key = (
-        id(spec),
-        options.fingerprint(),
-        tuple(id(rule) for rule in rules),
-        naive,
-    )
+    key = (id(spec), options.fingerprint(), tuple(id(rule) for rule in rules))
     table = _TABLE_CACHE.get(key)
     registry = get_registry()
     if table is not None:
         registry.inc("engine.dispatch.tables.cached")
         return table
-    table = compile_table(spec, options, rules, naive=naive)
+    table = compile_table(spec, options, rules)
     registry.inc("engine.dispatch.tables.compiled")
     if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
         _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))

@@ -24,12 +24,14 @@ once:
   re-check near-free.  Runs that exist to observe the engine
   (``--trace``, ``--profile``) bypass the cache so their artefacts
   stay truthful.
-- :class:`ParallelExecutor` -- the ``jobs > 1`` path: chunked submission
-  over a ``ProcessPoolExecutor`` whose per-worker initializer builds the
-  service (and compiles dispatch tables) once per worker.  Each worker's
-  metrics / tracer / profiler snapshots are merged into the parent's, so
+- :func:`fan_out` -- the ``jobs > 1`` path: chunked submission over a
+  process pool whose per-worker initializer builds the service (and
+  compiles dispatch tables) once per worker.  Each worker's metrics /
+  tracer / profiler snapshots are merged into the parent's, so
   ``--stats``, ``--trace`` and ``--profile`` stay truthful under
-  parallelism.
+  parallelism.  ``check_many`` hands it a pool built for one batch; the
+  daemon's :class:`~repro.daemon.pool.WarmPool` hands it one that lives
+  as long as the daemon.
 
 The pipeline is a generator end to end: ``iter_check`` yields each
 :class:`LintResult` the moment its worker finishes (completion order),
@@ -43,8 +45,9 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -225,7 +228,6 @@ class ServiceSpecification:
     spec_name: str
     rule_state: tuple[tuple[str, bool], ...]
     cascade_heuristics: bool = True
-    naive_dispatch: bool = False
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -253,7 +255,6 @@ class LintService:
         rules: Optional[Sequence[Rule]] = None,
         registry: Optional[RuleRegistry] = None,
         cascade_heuristics: bool = True,
-        naive_dispatch: bool = False,
         cache=None,
     ) -> None:
         self.options = options if options is not None else Options.with_defaults()
@@ -261,7 +262,6 @@ class LintService:
             spec = get_spec(spec)
         self.spec = spec if spec is not None else get_spec(self.options.spec_name)
         self.cascade_heuristics = cascade_heuristics
-        self.naive_dispatch = naive_dispatch
         self._explicit_rules = rules is not None
         if rules is None:
             if registry is None:
@@ -280,7 +280,6 @@ class LintService:
             options=self.options,
             rules=self.rules,
             cascade_heuristics=cascade_heuristics,
-            naive_dispatch=naive_dispatch,
         )
 
     # -- worker portability ------------------------------------------------
@@ -313,7 +312,6 @@ class LintService:
                 for registration in self.registry.registrations()
             ),
             cascade_heuristics=self.cascade_heuristics,
-            naive_dispatch=self.naive_dispatch,
         )
 
     @classmethod
@@ -331,7 +329,6 @@ class LintService:
             spec=spec.spec_name,
             registry=registry,
             cascade_heuristics=spec.cascade_heuristics,
-            naive_dispatch=spec.naive_dispatch,
         )
 
     def warm(self) -> None:
@@ -363,7 +360,6 @@ class LintService:
                 self.spec.name,
                 rule_state,
                 self.cascade_heuristics,
-                self.naive_dispatch,
             )
         return self._fingerprint
 
@@ -498,8 +494,24 @@ class LintService:
         if self.cache is not None:
             yield from self._iter_indexed_cached(batch, jobs)
             return
-        executor = ParallelExecutor(self.specification(), jobs=jobs)
-        yield from executor.iter_run(batch, fallback=self.check)
+        yield from self._iter_pooled(batch, jobs)
+
+    def _iter_pooled(
+        self, batch: list[LintRequest], jobs: int
+    ) -> "Iterator[tuple[int, LintResult]]":
+        """:func:`fan_out` over a pool that lives for this batch only."""
+        try:
+            pool = ProcessPoolExecutor(
+                max_workers=min(jobs, len(batch)),
+                initializer=_worker_init,
+                initargs=(self.specification(),),
+            )
+        except (OSError, ValueError):  # pragma: no cover - no multiprocessing
+            for index, request in enumerate(batch):
+                yield index, self.check(request)
+            return
+        with pool:
+            yield from fan_out(pool, batch, self.check, jobs)
 
     def _iter_indexed_cached(
         self, batch: list[LintRequest], jobs: int
@@ -552,9 +564,8 @@ class LintService:
                 (0, self.check(misses[0][1])),
             )
         else:
-            executor = ParallelExecutor(self.specification(), jobs=jobs)
-            checked = executor.iter_run(
-                [request for _, request, _ in misses], fallback=self.check
+            checked = self._iter_pooled(
+                [request for _, request, _ in misses], jobs
             )
         for miss_index, result in checked:
             index, _, key = misses[miss_index]
@@ -595,19 +606,12 @@ def _worker_run_chunk(
     assert service is not None, "worker used before _worker_init ran"
     tracer = Tracer() if collect_trace else None
     profiler = RuleProfiler() if collect_profile else None
-    with use_registry() as registry:
+    with use_registry() as registry, ExitStack() as scope:
         if tracer is not None:
-            with use_tracer(tracer):
-                if profiler is not None:
-                    with use_profiler(profiler):
-                        results = [service.check(r) for r in requests]
-                else:
-                    results = [service.check(r) for r in requests]
-        elif profiler is not None:
-            with use_profiler(profiler):
-                results = [service.check(r) for r in requests]
-        else:
-            results = [service.check(r) for r in requests]
+            scope.enter_context(use_tracer(tracer))
+        if profiler is not None:
+            scope.enter_context(use_profiler(profiler))
+        results = [service.check(r) for r in requests]
     return (
         results,
         registry.snapshot(),
@@ -616,116 +620,90 @@ def _worker_run_chunk(
     )
 
 
-class ParallelExecutor:
-    """Chunked fan-out of lint requests over a process pool.
+def fan_out(
+    pool: ProcessPoolExecutor,
+    requests: list[LintRequest],
+    fallback: Callable[[LintRequest], LintResult],
+    workers: int,
+    on_broken: Optional[Callable[[], None]] = None,
+) -> Iterator[tuple[int, LintResult]]:
+    """Check ``requests`` on ``pool``; yield ``(input_index, result)``
+    in completion order.
 
-    Submission is chunked (several documents per task) to amortise
-    pickling overhead; completion order is irrelevant because every
-    result is placed back at its input index.  If the platform cannot
-    spawn worker processes at all, the executor degrades to the
-    sequential fallback rather than failing the batch.
+    The one fan-out both pool owners share: ``LintService`` passes a
+    pool built for one batch, ``WarmPool`` one that lives as long as
+    the daemon.  Non-portable sources (stdin handles, URL sources bound
+    to a live agent) are read here, in the parent: a read failure is an
+    error result, a success ships as a string.  Submission is chunked
+    (several documents per task, about four chunks per worker) to
+    amortise pickling; each chunk's metric, trace and profile snapshots
+    are merged into the parent's as it completes.
+
+    Chunks the pool cannot run -- it was shut down, or a worker died --
+    re-run through ``fallback`` (the parent service's ``check``), so a
+    dying worker costs throughput, never a result.  A dead worker is
+    reported to ``on_broken`` before those re-runs, so an owner that
+    keeps its pool can replace it.
     """
-
-    def __init__(
-        self,
-        specification: ServiceSpecification,
-        jobs: int,
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        self.specification = specification
-        self.jobs = max(1, jobs)
-        self.chunk_size = chunk_size
-
-    def run(
-        self,
-        requests: list[LintRequest],
-        fallback: Callable[[LintRequest], LintResult],
-    ) -> list[LintResult]:
-        results: list[Optional[LintResult]] = [None] * len(requests)
-        for index, result in self.iter_run(requests, fallback):
-            results[index] = result
-        return results  # type: ignore[return-value]
-
-    def iter_run(
-        self,
-        requests: list[LintRequest],
-        fallback: Callable[[LintRequest], LintResult],
-    ) -> Iterator[tuple[int, LintResult]]:
-        """Yield ``(input_index, result)`` as worker chunks complete."""
-        # Materialise non-portable sources (stdin handles, URL sources
-        # bound to a live agent) in the parent: read failures become
-        # error results immediately, successes ship as strings.
-        portable: list[tuple[int, LintRequest]] = []
-        for index, request in enumerate(requests):
-            source = request.source
-            if not source.portable:
-                try:
-                    text = source.text()
-                except SourceError as exc:
-                    get_registry().inc("lint.source_errors")
-                    yield index, LintResult(name=source.name, error=str(exc))
-                    continue
-                request = LintRequest(
-                    StringSource(text, name=source.name),
-                    keep_text=request.keep_text,
-                )
-            portable.append((index, request))
-        if not portable:
-            return
-
-        chunk_size = self.chunk_size or max(
-            1, -(-len(portable) // (self.jobs * 4))
-        )
-        chunks = [
-            portable[offset : offset + chunk_size]
-            for offset in range(0, len(portable), chunk_size)
-        ]
-        collect_trace = bool(getattr(get_tracer(), "enabled", False))
-        collect_profile = get_profiler() is not None
-
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                initializer=_worker_init,
-                initargs=(self.specification,),
+    registry = get_registry()
+    portable: list[tuple[int, LintRequest]] = []
+    for index, request in enumerate(requests):
+        source = request.source
+        if not source.portable:
+            try:
+                text = source.text()
+            except SourceError as exc:
+                registry.inc("lint.source_errors")
+                yield index, LintResult(name=source.name, error=str(exc))
+                continue
+            request = LintRequest(
+                StringSource(text, name=source.name),
+                keep_text=request.keep_text,
             )
-        except (OSError, ValueError):  # pragma: no cover - no multiprocessing
-            for index, request in portable:
-                yield index, fallback(request)
-            return
+        portable.append((index, request))
+    if not portable:
+        return
 
-        registry = get_registry()
-        broken: list[int] = []
-        with pool:
-            futures = {
-                pool.submit(
-                    _worker_run_chunk,
-                    [request for _, request in chunk],
-                    collect_trace,
-                    collect_profile,
-                ): [index for index, _ in chunk]
-                for chunk in chunks
-            }
-            for future in as_completed(futures):
-                indices = futures[future]
-                try:
-                    chunk_results, metrics, spans, profile = future.result()
-                except BrokenProcessPool:  # pragma: no cover - worker died
-                    broken.extend(indices)
-                    continue
-                registry.merge_snapshot(metrics)
-                if spans:
-                    tracer = get_tracer()
-                    if getattr(tracer, "enabled", False):
-                        tracer.merge_records(spans)
-                if profile:
-                    profiler = get_profiler()
-                    if profiler is not None:
-                        profiler.merge_snapshot(profile)
-                for index, result in zip(indices, chunk_results):
-                    yield index, result
-        # Requests lost to a broken pool re-run sequentially, so a dying
-        # worker degrades throughput, never correctness.
-        request_at = dict(portable)
-        for index in broken:  # pragma: no cover - worker died
-            yield index, fallback(request_at[index])
+    chunk_size = max(1, -(-len(portable) // (workers * 4)))
+    collect_trace = bool(getattr(get_tracer(), "enabled", False))
+    collect_profile = get_profiler() is not None
+    futures = {}
+    lost: list[tuple[int, LintRequest]] = []
+    broken = False
+    for offset in range(0, len(portable), chunk_size):
+        chunk = portable[offset : offset + chunk_size]
+        try:
+            future = pool.submit(
+                _worker_run_chunk,
+                [request for _, request in chunk],
+                collect_trace,
+                collect_profile,
+            )
+        except RuntimeError as exc:  # shut down, or already broken
+            broken = broken or isinstance(exc, BrokenProcessPool)
+            lost.extend(chunk)
+            continue
+        futures[future] = chunk
+    for future in as_completed(futures):
+        chunk = futures[future]
+        try:
+            chunk_results, metrics, spans, profile = future.result()
+        except (BrokenProcessPool, CancelledError) as exc:
+            broken = broken or isinstance(exc, BrokenProcessPool)
+            lost.extend(chunk)
+            continue
+        registry.merge_snapshot(metrics)
+        if spans:
+            tracer = get_tracer()
+            if getattr(tracer, "enabled", False):
+                tracer.merge_records(spans)
+        if profile:
+            profiler = get_profiler()
+            if profiler is not None:
+                profiler.merge_snapshot(profile)
+        for (index, _), result in zip(chunk, chunk_results):
+            yield index, result
+    if broken and on_broken is not None:
+        on_broken()
+    for index, request in lost:
+        yield index, fallback(request)

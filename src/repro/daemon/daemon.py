@@ -250,13 +250,11 @@ class LintDaemon:
         cache=None,
         state_dir: Optional[Union[str, Path]] = None,
         fanout_threshold: int = FANOUT_THRESHOLD,
-        chunk_size: Optional[int] = None,
     ) -> None:
         self.options = options if options is not None else Options.with_defaults()
         self.service = LintService(options=self.options, cache=cache)
         self.jobs = resolve_jobs(jobs)
         self.fanout_threshold = max(1, fanout_threshold)
-        self.chunk_size = chunk_size
         self.gate = AdmissionGate(queue_limit)
         self.journal = LifecycleJournal(state_dir) if state_dir else None
         self.pool: Optional[WarmPool] = None
@@ -275,11 +273,7 @@ class LintDaemon:
         registry = get_registry()
         registry.set_gauge("daemon.queue.limit", self.gate.limit)
         if self.jobs > 1 and self.service.portable:
-            self.pool = WarmPool(
-                self.service.specification(),
-                workers=self.jobs,
-                chunk_size=self.chunk_size,
-            )
+            self.pool = WarmPool(self.service.specification(), workers=self.jobs)
         self.service.warm()
         if self.pool is not None and prewarm:
             warmed = self.pool.prewarm()

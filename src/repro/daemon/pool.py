@@ -1,13 +1,15 @@
 """The pre-warmed worker pool: persistent processes, hot services.
 
-The batch pipeline's :class:`~repro.core.service.ParallelExecutor`
-builds a fresh :class:`~concurrent.futures.ProcessPoolExecutor` per
-batch, so every request pays worker spawn plus per-worker service
-rebuild and dispatch-table compilation -- which is exactly why small
-batches lose to sequential (BENCH_parallel.json).  :class:`WarmPool`
-keeps one pool alive for the life of the daemon: workers run
+``LintService.check_many`` builds a fresh
+:class:`~concurrent.futures.ProcessPoolExecutor` per batch, so every
+batch pays worker spawn plus per-worker service rebuild and
+dispatch-table compilation -- which is exactly why small batches lose
+to sequential (BENCH_parallel.json).  :class:`WarmPool` keeps one pool
+alive for the life of the daemon: workers run
 :func:`repro.core.service._worker_init` once, compile their tables
-once, and every subsequent batch is pure lint work plus IPC.
+once, and every subsequent batch is pure lint work plus IPC.  Both
+owners fan a batch out through the same
+:func:`repro.core.service.fan_out`; only the pool's lifetime differs.
 
 ``prewarm()`` forces every worker process to start and initialise
 *before* the first request arrives, so the first client sees the same
@@ -22,16 +24,14 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional
 
 from repro.core.service import (
     LintRequest,
     LintResult,
     ServiceSpecification,
-    StringSource,
     _worker_init,
-    _worker_run_chunk,
+    fan_out,
 )
 from repro.obs.metrics import get_registry
 
@@ -58,11 +58,9 @@ class WarmPool:
         self,
         specification: ServiceSpecification,
         workers: int,
-        chunk_size: Optional[int] = None,
     ) -> None:
         self.specification = specification
         self.workers = max(1, workers)
-        self.chunk_size = chunk_size
         self._lock = threading.Lock()
         self._busy = 0
         self._closed = False
@@ -135,92 +133,33 @@ class WarmPool:
 
         ``fallback`` (the parent service's ``check``) handles the
         degraded paths: no pool, a closed pool, or chunks lost to a
-        worker crash.  Exactly the same golden contract as
-        ``ParallelExecutor``: the output is byte-identical to the
-        sequential path, whatever happens to the processes.
+        worker crash.  The output is byte-identical to the sequential
+        path, whatever happens to the processes.
         """
         pool = self._pool
         if pool is None or self._closed:
             return [fallback(request) for request in requests]
-
-        # Materialise non-portable sources in the parent, as the batch
-        # pipeline does: read failures become structured errors here.
         results: list[Optional[LintResult]] = [None] * len(requests)
-        portable: list[tuple[int, LintRequest]] = []
-        for index, request in enumerate(requests):
-            source = request.source
-            if not source.portable:
-                try:
-                    text = source.text()
-                except Exception as exc:  # SourceError
-                    results[index] = LintResult(
-                        name=source.name, error=str(exc)
-                    )
-                    continue
-                request = LintRequest(
-                    StringSource(text, name=source.name),
-                    keep_text=request.keep_text,
-                )
-            portable.append((index, request))
-        if not portable:
-            return [result for result in results if result is not None]
-
-        chunk_size = self.chunk_size or max(
-            1, -(-len(portable) // (self.workers * 4))
-        )
-        chunks = [
-            portable[offset : offset + chunk_size]
-            for offset in range(0, len(portable), chunk_size)
-        ]
-        registry = get_registry()
-        futures = []
-        try:
-            for chunk in chunks:
-                futures.append(
-                    (
-                        pool.submit(
-                            _worker_run_chunk,
-                            [request for _, request in chunk],
-                            False,
-                            False,
-                        ),
-                        [index for index, _ in chunk],
-                    )
-                )
-        except RuntimeError:  # pool shut down while submitting
-            for index, request in portable:
-                if results[index] is None:
-                    results[index] = fallback(request)
-            return results  # type: ignore[return-value]
-
         with self._lock:
             self._busy += 1
-            registry.gauge_max("daemon.workers.busy", min(self._busy, self.workers))
-        broken: list[int] = []
+            get_registry().gauge_max(
+                "daemon.workers.busy", min(self._busy, self.workers)
+            )
         try:
-            for future, indices in futures:
-                try:
-                    chunk_results, metrics, _spans, _profile = future.result()
-                except BrokenProcessPool:
-                    broken.extend(indices)
-                    continue
-                registry.merge_snapshot(metrics)
-                for index, result in zip(indices, chunk_results):
-                    results[index] = result
+            for index, result in fan_out(
+                pool, requests, fallback, self.workers,
+                on_broken=lambda: self._rebuild(pool),
+            ):
+                results[index] = result
         finally:
             with self._lock:
                 self._busy -= 1
-
-        if broken:
-            # A worker died; heal the pool for the next batch and re-run
-            # the lost chunks inline so this one still succeeds.
-            registry.inc("daemon.pool.rebuilds")
-            with self._lock:
-                if self._pool is pool and not self._closed:
-                    self._pool = None
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    self._build_pool()
-            request_at = dict(portable)
-            for index in broken:
-                results[index] = fallback(request_at[index])
         return results  # type: ignore[return-value]
+
+    def _rebuild(self, broken: ProcessPoolExecutor) -> None:
+        """A worker died: replace the broken pool for the next batch."""
+        with self._lock:
+            if self._pool is broken and not self._closed:
+                get_registry().inc("daemon.pool.rebuilds")
+                broken.shutdown(wait=False, cancel_futures=True)
+                self._build_pool()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from repro.config.options import Options
 from repro.core.diagnostics import Diagnostic
@@ -173,35 +173,13 @@ class Poacher:
                 size_bytes=len(response.body),
             )
             if validate:
-                check_fragments = self.options.is_enabled(
-                    "bad-fragment"
-                )
-                for link in links:
-                    if link.is_fragment_only:
-                        if check_fragments and (
-                            self.fragment_checker.fragment_defined(
-                                url, link.url
-                            )
-                            is False
-                        ):
-                            result.bad_fragments.append(link)
-                        continue
-                    if not link.checkable:
-                        continue
-                    status = self.link_checker.check(url, link.url)
-                    if status.broken:
+                for link, verdict, status in self._link_verdicts(url, links):
+                    if verdict == "broken":
                         result.broken_links.append((link, status))
-                        continue
-                    if status.redirected_to:
+                    elif verdict == "moved":
                         result.moved_links.append((link, status))
-                    if check_fragments and "#" in link.url:
-                        if (
-                            self.fragment_checker.fragment_defined(
-                                url, link.url
-                            )
-                            is False
-                        ):
-                            result.bad_fragments.append(link)
+                    else:
+                        result.bad_fragments.append(link)
             report.pages.append(result)
 
         self.robot.crawl(start_url, on_page, progress=progress, resume=resume)
@@ -249,38 +227,7 @@ class Poacher:
             report_dir = Path(report_dir)
             spill = PageSpill(report_dir / PAGES_FILENAME)
         validate = self.options.follow_links
-        check_fragments = validate and self.options.is_enabled("bad-fragment")
-        check_links = validate and self.options.is_enabled("bad-link")
-
-        def link_findings(url: str, links: list[Link]) -> list[Diagnostic]:
-            findings: list[Diagnostic] = []
-            for link in links:
-                if link.is_fragment_only:
-                    if check_fragments and (
-                        self.fragment_checker.fragment_defined(url, link.url)
-                        is False
-                    ):
-                        findings.append(self._fragment_diagnostic(url, link))
-                    continue
-                if not link.checkable:
-                    continue
-                status = self.link_checker.check(url, link.url)
-                if status.broken:
-                    if check_links:
-                        findings.append(Diagnostic.build(
-                            "bad-link",
-                            line=link.line,
-                            filename=url,
-                            target=link.url,
-                            status=status.describe(),
-                        ))
-                    continue
-                if check_fragments and "#" in link.url and (
-                    self.fragment_checker.fragment_defined(url, link.url)
-                    is False
-                ):
-                    findings.append(self._fragment_diagnostic(url, link))
-            return findings
+        check_links = self.options.is_enabled("bad-link")
 
         def on_page(url: str, response: Response, links: list[Link]) -> None:
             diagnostics = list(
@@ -289,7 +236,17 @@ class Poacher:
                 ).diagnostics
             )
             if validate:
-                diagnostics.extend(link_findings(url, links))
+                for link, verdict, status in self._link_verdicts(url, links):
+                    if verdict == "bad-fragment":
+                        diagnostics.append(self._fragment_diagnostic(url, link))
+                    elif verdict == "broken" and check_links:
+                        diagnostics.append(Diagnostic.build(
+                            "bad-link",
+                            line=link.line,
+                            filename=url,
+                            target=link.url,
+                            status=status.describe(),
+                        ))
             rollup.add_page(url, diagnostics)
             if spill is not None:
                 spill.write_page(url, diagnostics)
@@ -328,6 +285,38 @@ class Poacher:
         if report_dir is not None:
             rollup.save(Path(report_dir) / ROLLUP_FILENAME)
         return rollup
+
+    def _link_verdicts(
+        self, url: str, links: list[Link]
+    ) -> Iterator[tuple[Link, str, Optional[LinkStatus]]]:
+        """Validate one page's links; yield each problem in link order.
+
+        Verdicts are ``"broken"`` and ``"moved"`` (with the link's
+        :class:`LinkStatus`) and ``"bad-fragment"`` (status ``None``).
+        Every checkable link costs one ``LinkChecker.check``; fragments
+        are resolved only while the ``bad-fragment`` check is enabled,
+        and never on a broken link.
+        """
+        check_fragments = self.options.is_enabled("bad-fragment")
+        for link in links:
+            if link.is_fragment_only:
+                if check_fragments and (
+                    self.fragment_checker.fragment_defined(url, link.url) is False
+                ):
+                    yield link, "bad-fragment", None
+                continue
+            if not link.checkable:
+                continue
+            status = self.link_checker.check(url, link.url)
+            if status.broken:
+                yield link, "broken", status
+                continue
+            if status.redirected_to:
+                yield link, "moved", status
+            if check_fragments and "#" in link.url and (
+                self.fragment_checker.fragment_defined(url, link.url) is False
+            ):
+                yield link, "bad-fragment", None
 
     def _fragment_diagnostic(self, url: str, link: Link) -> Diagnostic:
         target, _, fragment = link.url.partition("#")

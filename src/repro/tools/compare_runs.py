@@ -20,7 +20,9 @@ is reported as context but never fails the comparison.
 ``--portable-only`` restricts the comparison to machine-independent
 keys (document/page/byte/hit counts), which is what CI uses against
 committed baselines: wall-clock and throughput depend on the runner's
-hardware, but the work a run *did* must not silently change.
+hardware, but the work a run *did* must not silently change -- nor
+silently disappear: a portable key the baseline holds and the current
+run lacks counts as a regression.
 """
 
 from __future__ import annotations
@@ -84,6 +86,10 @@ PORTABLE_DIRECTIONS = {
     # what it emits, not just how fast.
     "tokens": "exact",
     "corpus_bytes": "exact",
+    # Dispatch gate (BENCH_dispatch.json): rule-hook invocations for one
+    # seeded page, compiled and through the call-everything reference
+    # table.  A drift means dispatch routes events differently.
+    "hook_calls": "exact",
 }
 
 
@@ -144,6 +150,10 @@ def _base_key(key: str) -> str:
     return key.rsplit(".", 1)[-1]
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def compare(
     baseline: dict[str, object],
     current: dict[str, object],
@@ -159,16 +169,22 @@ def compare(
         if base in skipped:
             continue
         old, new = baseline.get(key), current.get(key)
-        if not isinstance(old, (int, float)) or not isinstance(new, (int, float)):
-            continue
-        if isinstance(old, bool) or isinstance(new, bool):
+        if not _is_number(old):
             continue
         if portable_only:
             direction = PORTABLE_DIRECTIONS.get(base)
             if direction is None:
                 continue
+            if key not in current:
+                # The work a run did must not silently vanish: a count
+                # the baseline had and this run lacks is a regression.
+                lines.append(f"  {key}: {old:g} -> missing REGRESSION (missing)")
+                regressions.append(key)
+                continue
         else:
             direction = classify(base)
+        if not _is_number(new):
+            continue
         delta = new - old
         ratio = (delta / old) if old else (1.0 if delta else 0.0)
         marker = ""

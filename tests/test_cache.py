@@ -69,11 +69,6 @@ class TestKeyInvalidation:
             LintService(spec="netscape")
         )
 
-    def test_dispatch_strategy_changes_key(self):
-        assert fingerprint_of(LintService()) != fingerprint_of(
-            LintService(naive_dispatch=True)
-        )
-
     def test_fingerprint_is_deterministic(self):
         assert fingerprint_of(LintService()) == fingerprint_of(LintService())
 
@@ -84,8 +79,8 @@ class TestKeyInvalidation:
         second = Options.with_defaults()
         second.enable("here-anchor", "upper-case")
         assert service_fingerprint(
-            first.fingerprint(), "html4", (), True, False
-        ) == service_fingerprint(second.fingerprint(), "html4", (), True, False)
+            first.fingerprint(), "html4", (), True
+        ) == service_fingerprint(second.fingerprint(), "html4", (), True)
 
 
 class TestResultCache:

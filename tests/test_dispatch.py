@@ -107,6 +107,14 @@ class TestCache:
         assert get_table(spec, plain, rules) is get_table(spec, plain, rules)
 
 
+def _with_reference_table(weblint: Weblint) -> Weblint:
+    """Make ``weblint`` dispatch through the call-everything table."""
+    engine = weblint.service.engine
+    table = compile_table(engine.spec, engine.options, engine.rules, naive=True)
+    engine.dispatch_table = lambda: table
+    return weblint
+
+
 def _diagnostics_key(diagnostics):
     return [
         (d.message_id, d.line, d.column, d.text, d.filename) for d in diagnostics
@@ -126,13 +134,15 @@ class TestGoldenEquivalence:
             options.spec_name = sample.spec
             if sample.enable:
                 options.enable(*sample.enable)
-            weblint = Weblint(options=options, naive_dispatch=naive)
+            weblint = Weblint(options=options)
+            if naive:
+                _with_reference_table(weblint)
             outputs.append(_diagnostics_key(weblint.check_string(sample.html)))
         assert outputs[0] == outputs[1]
 
     def test_paper_example_identical(self):
         compiled = Weblint().check_string(PAPER_EXAMPLE)
-        naive = Weblint(naive_dispatch=True).check_string(PAPER_EXAMPLE)
+        naive = _with_reference_table(Weblint()).check_string(PAPER_EXAMPLE)
         assert _diagnostics_key(compiled) == _diagnostics_key(naive)
 
     def test_generated_page_identical_pedantic(self):
@@ -142,11 +152,10 @@ class TestGoldenEquivalence:
             options = Options.with_defaults()
             options.enable("all")
             options.disable("upper-case")
-            outputs.append(
-                _diagnostics_key(
-                    Weblint(options=options, naive_dispatch=naive).check_string(page)
-                )
-            )
+            weblint = Weblint(options=options)
+            if naive:
+                _with_reference_table(weblint)
+            outputs.append(_diagnostics_key(weblint.check_string(page)))
         assert outputs[0] == outputs[1]
 
 
@@ -168,7 +177,7 @@ class TestDispatchMetrics:
         token_count = len(tokenize(page))
         rule_count = len(default_rules())
         with use_registry() as registry:
-            Weblint(naive_dispatch=True).check_string(page)
+            _with_reference_table(Weblint()).check_string(page)
             calls = registry.value("engine.dispatch.calls")
         # start/end_document and element-closed events push it past N*T.
         assert calls >= rule_count * token_count

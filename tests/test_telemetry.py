@@ -388,6 +388,44 @@ class TestCompareRuns:
         )
         assert regressions == ["links_extracted"]
 
+    def test_portable_key_missing_from_current_is_a_regression(self):
+        lines, regressions = compare(
+            {"e21_workload.tokens": 900, "e21_workload.corpus_bytes": 5000,
+             "e21_workload.documents": 24, "e21_workload.wall_s": 1.0},
+            {"e21_workload.corpus_bytes": 5000},
+            portable_only=True,
+        )
+        assert regressions == ["e21_workload.documents", "e21_workload.tokens"]
+        assert any("missing" in line for line in lines)
+
+    def test_missing_non_portable_key_is_ignored(self):
+        _lines, regressions = compare(
+            {"documents": 3, "wall_s": 1.0}, {"documents": 3},
+            portable_only=True,
+        )
+        assert regressions == []
+
+    def test_portable_hook_calls_must_not_drift(self):
+        _lines, regressions = compare(
+            {"e14_compiled.hook_calls": 1722}, {"e14_compiled.hook_calls": 1721},
+            portable_only=True,
+        )
+        assert regressions == ["e14_compiled.hook_calls"]
+
+    def test_cli_fails_when_portable_key_disappears(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        new = tmp_path / "new.json"
+        old.write_text(json.dumps({"results": {"e21_workload": {
+            "tokens": 909, "corpus_bytes": 31334, "documents": 40,
+        }}}))
+        new.write_text(json.dumps({"results": {"e21_workload": {
+            "corpus_bytes": 31334,
+        }}}))
+        assert compare_main([str(old), str(new), "--portable-only"]) == 1
+        out = capsys.readouterr().out
+        assert "no regressions" not in out
+        assert "e21_workload.tokens" in out
+
     def test_cli_on_ledger(self, tmp_path, capsys):
         ledger = RunLedger(tmp_path)
         ledger.append({"tool": "weblint", "docs_per_s": 100.0})
